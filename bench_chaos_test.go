@@ -117,6 +117,7 @@ func BenchmarkChaos(b *testing.B) {
 				b.Logf("%s: offered=%d ok=%d lost=%d injected=%d failovers=%d skips=%d retries=%d storm_p99=%v healed_p99=%v warm_healthy_p99=%v",
 					sched.Name, row.Offered, row.OK, row.RequestsLost, row.FaultsInjected,
 					row.Failovers, row.BreakerSkips, row.Retries, rep.StormP99, rep.HealedP99, rep.WarmHealthyP99)
+				rows = append(rows, row)
 			}
 		}
 	})

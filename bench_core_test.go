@@ -3,7 +3,7 @@
 // front) swept over the paper's workload shapes, serial and parallel. Every
 // run rewrites BENCH_core.json with ns/op, allocs/op and B/op per row so the
 // core perf trajectory accumulates across commits, exactly like
-// BENCH_cluster.json does for the cluster layer.
+// BENCH_load.json does for the cluster layer.
 //
 // BENCH_budget.json (committed) holds hard ceilings for selected rows:
 // allocs/op as an absolute ceiling, and ns/op as a regression *ratio*

@@ -10,17 +10,14 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -400,216 +397,4 @@ func BenchmarkAblationGPUEnhancements(b *testing.B) {
 			b.ReportMetric(sim, "sim-ms")
 		})
 	}
-}
-
-// --- Distributed cluster: scaling and failover ----------------------------
-
-// clusterBenchRow is one row of BENCH_cluster.json: throughput and cache
-// behaviour at one cluster size (or under a mid-run node kill), so the perf
-// trajectory of the cluster layer accumulates across commits.
-//
-// closed_loop_hit_ratio was called warm_hit_ratio before the open-loop
-// harness (BENCH_load.json) existed; it is renamed so the old saturated
-// closed-loop rows cannot be mistaken for the honest open-loop numbers,
-// and it now counts only true cache hits — coalesced requests are
-// concurrent misses sharing one optimization, not warm traffic, and the
-// old accounting let them inflate the ratio to 1.0.
-type clusterBenchRow struct {
-	Name      string  `json:"name"`
-	Nodes     int     `json:"nodes"`
-	Replicas  int     `json:"replicas"`
-	Clients   int     `json:"clients"`
-	Requests  uint64  `json:"requests"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	ReqPerSec float64 `json:"req_per_sec"`
-	// Hits, Coalesced and Misses are this run's served-request breakdown
-	// (deltas over the pre-run snapshot), reported separately so each can
-	// be judged on its own.
-	Hits              uint64  `json:"hits"`
-	Coalesced         uint64  `json:"coalesced"`
-	Misses            uint64  `json:"misses"`
-	ClosedLoopHitRate float64 `json:"closed_loop_hit_ratio"`
-	Failovers         uint64  `json:"failovers"`
-	Deaths            uint64  `json:"deaths"`
-}
-
-// BenchmarkClusterThroughput is the legacy tier-2 closed-loop sweep:
-// concurrent clients issue requests back-to-back at 1/2/4/8 nodes, and once
-// more at 4 nodes with one node killed mid-run. Closed-loop numbers measure
-// peak drain rate, not serving behaviour under offered load — each client
-// politely waits for the previous answer, so the server can never fall
-// behind (see BenchmarkClusterLoad for the open-loop harness). The stream
-// mixes ~10% cold queries and ~20% isomorphic twins over the hot pool so
-// the optimizer stays in the measurement. Results additionally land in
-// BENCH_cluster.json next to the standard benchmark output.
-func BenchmarkClusterThroughput(b *testing.B) {
-	const replicas = 2
-	clients := runtime.GOMAXPROCS(0)
-	if clients < 2 {
-		clients = 2
-	}
-
-	hot := make([]*cost.Query, 12)
-	for i := range hot {
-		rng := rand.New(rand.NewSource(benchSeed + int64(2000+i)))
-		q, err := workload.Generate(workload.KindMB, 14, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hot[i] = q
-	}
-
-	// stream drives b.N requests from the client pool, killing victim (when
-	// set) once the stream is halfway done. ~10% of requests are cold
-	// (never-seen queries, guaranteed misses), ~20% isomorphic twins of a
-	// hot query, the rest warm replays — so the ratio the run reports can
-	// never be a vacuous 1.0.
-	stream := func(b *testing.B, c *cluster.Cluster, victim string) {
-		b.Helper()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var idx atomic.Int64
-		var coldSeq atomic.Int64
-		var killOnce sync.Once
-		var wg sync.WaitGroup
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for {
-					i := int(idx.Add(1)) - 1
-					if i >= b.N {
-						return
-					}
-					if victim != "" && i >= b.N/2 {
-						killOnce.Do(func() { c.KillNode(victim) })
-					}
-					var q *cost.Query
-					switch roll := rng.Intn(10); {
-					case roll == 0:
-						// Cold: a fresh MusicBrainz walk under a seed range
-						// no other query uses.
-						seed := benchSeed + 1_000_000 + coldSeq.Add(1)
-						q = workload.MusicBrainzQuery(12, rand.New(rand.NewSource(seed)))
-					case roll <= 2:
-						// An isomorphic renaming must hit the same
-						// clustered cache entry.
-						base := hot[i%len(hot)]
-						q = workload.PermuteQuery(base, rng.Perm(base.N()))
-					default:
-						q = hot[i%len(hot)]
-					}
-					if _, err := c.Optimize(context.Background(), q); err != nil {
-						b.Errorf("request %d lost: %v", i, err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		b.StopTimer()
-	}
-
-	// servedCounts sums the served-request breakdown over all nodes; the
-	// benchmark diffs two sums so priming misses and earlier calibration
-	// runs don't dilute the measured ratio. Coalesced requests are counted
-	// on their own: they are concurrent misses riding one optimization,
-	// and folding them into the warm side is how the old benchmark
-	// reported 1.0 everywhere.
-	servedCounts := func(c *cluster.Cluster) (hits, coalesced, misses uint64) {
-		for _, ns := range c.Snapshot().PerNode {
-			hits += ns.Hits
-			coalesced += ns.Coalesced
-			misses += ns.Misses
-		}
-		return hits, coalesced, misses
-	}
-
-	// The benchmark runner re-invokes each sub-benchmark while calibrating
-	// b.N; keyed rows keep only the final (largest-b.N) run of each.
-	rows := make(map[string]clusterBenchRow)
-	var order []string
-	record := func(b *testing.B, c *cluster.Cluster, name string, nodes int, preHits, preCoalesced, preMisses uint64) {
-		hits, coalesced, misses := servedCounts(c)
-		hits -= preHits
-		coalesced -= preCoalesced
-		misses -= preMisses
-		hitRate := 0.0
-		if served := hits + coalesced + misses; served > 0 {
-			hitRate = float64(hits) / float64(served)
-		}
-		snap := c.Snapshot()
-		b.ReportMetric(100*hitRate, "hit-%")
-		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		row := clusterBenchRow{
-			Name:              name,
-			Nodes:             nodes,
-			Replicas:          replicas,
-			Clients:           clients,
-			Requests:          uint64(b.N),
-			NsPerOp:           nsPerOp,
-			Hits:              hits,
-			Coalesced:         coalesced,
-			Misses:            misses,
-			ClosedLoopHitRate: hitRate,
-			Failovers:         snap.Failovers,
-			Deaths:            snap.Deaths,
-		}
-		if nsPerOp > 0 {
-			row.ReqPerSec = 1e9 / nsPerOp
-		}
-		if _, seen := rows[name]; !seen {
-			order = append(order, name)
-		}
-		rows[name] = row
-	}
-
-	newCluster := func(nodes int) *cluster.Cluster {
-		perNode := runtime.GOMAXPROCS(0) / nodes
-		if perNode < 1 {
-			perNode = 1
-		}
-		c := cluster.New(cluster.Config{
-			Nodes:    nodes,
-			Replicas: replicas,
-			Service:  service.Config{Workers: perNode},
-		})
-		for _, q := range hot { // warm every owner before the timer starts
-			if _, err := c.Optimize(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return c
-	}
-
-	for _, nodes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			c := newCluster(nodes)
-			defer c.Close()
-			preHits, preCoalesced, preMisses := servedCounts(c)
-			stream(b, c, "")
-			record(b, c, fmt.Sprintf("nodes=%d", nodes), nodes, preHits, preCoalesced, preMisses)
-		})
-	}
-	b.Run("nodekill/nodes=4", func(b *testing.B) {
-		c := newCluster(4)
-		defer c.Close()
-		preHits, preCoalesced, preMisses := servedCounts(c)
-		stream(b, c, c.AliveNodes()[0])
-		record(b, c, "nodekill/nodes=4", 4, preHits, preCoalesced, preMisses)
-	})
-
-	ordered := make([]clusterBenchRow, 0, len(order))
-	for _, name := range order {
-		ordered = append(ordered, rows[name])
-	}
-	out, err := json.MarshalIndent(ordered, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cluster.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote BENCH_cluster.json (%d rows)", len(ordered))
 }

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/service"
 )
@@ -111,9 +112,9 @@ func main() {
 			*workers = 1
 		}
 	}
-	var xover *backend.Crossover
+	var xover *core.Crossover
 	if *crossover != "" {
-		x, err := backend.LoadCrossover(*crossover)
+		x, err := core.LoadCrossover(*crossover)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("workload=%s rels=%d algorithm=%s\n", *kind, q.N(), *alg)
+	fmt.Printf("workload=%s rels=%d algorithm=%s ran=%s fellback=%v\n", *kind, q.N(), *alg, res.Algorithm, res.FellBack)
 	fmt.Printf("plan cost: %.4g   output rows: %.4g\n", res.Plan.Cost, res.Plan.Rows)
 	fmt.Printf("optimization wall time: %v\n", res.Elapsed)
 	if res.GPU != nil {

@@ -151,9 +151,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var xover *backend.Crossover
+	var xover *core.Crossover
 	if *crossover != "" {
-		x, err := backend.LoadCrossover(*crossover)
+		x, err := core.LoadCrossover(*crossover)
 		if err != nil {
 			log.Fatal(err)
 		}

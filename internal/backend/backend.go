@@ -2,10 +2,10 @@
 // execution substrate from the algorithm choice: the same MPDP enumeration
 // can execute on the sequential CPU path, the work-stealing CPU-parallel
 // driver, or the multi-device simulated GPU — and the heuristics form a
-// fourth, approximate substrate. The service router (internal/service)
-// picks an (algorithm, backend) pair per query from size, shape and the
-// crossover thresholds of this package; the serving layers report which
-// backend produced every plan.
+// fourth, approximate substrate. core.Route picks the algorithm per query
+// from size, shape and crossover thresholds; this package's
+// algorithm→backend map picks the substrate that runs it, and the serving
+// layers report which backend produced every plan.
 //
 // The backend split mirrors the paper's evaluation axes (CPU vs GPU,
 // sequential vs parallel, exact vs heuristic) and the device/backend
@@ -47,6 +47,33 @@ const (
 // IDs lists every backend, in routing-preference order.
 func IDs() []ID { return []ID{CPUSeq, CPUParallel, GPU, Heuristic} }
 
+// backendOf is the algorithm→substrate map: the one place that says which
+// backend executes each registered algorithm.
+var backendOf = map[core.Algorithm]ID{
+	core.AlgDPSize:       CPUSeq,
+	core.AlgDPSub:        CPUSeq,
+	core.AlgDPCCP:        CPUSeq,
+	core.AlgMPDP:         CPUSeq,
+	core.AlgPDP:          CPUParallel,
+	core.AlgDPE:          CPUParallel,
+	core.AlgMPDPParallel: CPUParallel,
+	core.AlgDPSizeGPU:    GPU,
+	core.AlgDPSubGPU:     GPU,
+	core.AlgMPDPGPU:      GPU,
+	core.AlgGEQO:         Heuristic,
+	core.AlgGOO:          Heuristic,
+	core.AlgMinSel:       Heuristic,
+	core.AlgIKKBZ:        Heuristic,
+	core.AlgLinDP:        Heuristic,
+	core.AlgIDP1:         Heuristic,
+	core.AlgIDP2:         Heuristic,
+	core.AlgUnionDP:      Heuristic,
+}
+
+// Of returns the ID of the backend that executes alg ("" for AlgAuto and
+// unknown names).
+func Of(alg core.Algorithm) ID { return backendOf[alg] }
+
 // Options configures one backend optimization; the fields mirror
 // core.Options minus the algorithm (passed separately) and the GPU device
 // model (owned by the GPU backend).
@@ -84,12 +111,10 @@ type Result struct {
 type Backend interface {
 	// ID returns the backend's registry name.
 	ID() ID
-	// Supports reports whether the backend can execute alg.
-	Supports(alg core.Algorithm) bool
-	// Optimize plans q with alg. Cancelling ctx aborts the run promptly
-	// with the context's error. Implementations must be safe for
-	// concurrent use — the service worker pool calls them from many
-	// goroutines.
+	// Optimize plans q with alg, one of the algorithms Of maps to ID.
+	// Cancelling ctx aborts the run promptly with the context's error.
+	// Implementations must be safe for concurrent use — the service worker
+	// pool calls them from many goroutines.
 	Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error)
 	// Close releases backend resources (the GPU backend's batcher).
 	Close()
@@ -106,7 +131,10 @@ type Set struct {
 func NewSet(gpu GPUConfig) *Set {
 	s := &Set{byID: make(map[ID]Backend, 4)}
 	for _, b := range []Backend{
-		newCPUSeq(), newCPUParallel(), newGPUBackend(gpu), newHeuristic(),
+		coreBackend{id: CPUSeq, oneCore: true},
+		coreBackend{id: CPUParallel},
+		newGPUBackend(gpu),
+		coreBackend{id: Heuristic},
 	} {
 		s.byID[b.ID()] = b
 	}
@@ -116,16 +144,8 @@ func NewSet(gpu GPUConfig) *Set {
 // Get returns the backend with the given ID, or nil.
 func (s *Set) Get(id ID) Backend { return s.byID[id] }
 
-// For returns the backend that executes alg, following the registry's
-// algorithm→substrate mapping.
-func (s *Set) For(alg core.Algorithm) Backend {
-	for _, id := range IDs() {
-		if b := s.byID[id]; b != nil && b.Supports(alg) {
-			return b
-		}
-	}
-	return nil
-}
+// For returns the backend that executes alg, or nil.
+func (s *Set) For(alg core.Algorithm) Backend { return s.byID[Of(alg)] }
 
 // Close releases every backend.
 func (s *Set) Close() {

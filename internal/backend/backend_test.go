@@ -65,6 +65,12 @@ func TestSetDispatch(t *testing.T) {
 	if b := s.For(core.AlgAuto); b != nil {
 		t.Errorf("auto is a policy, not a backend algorithm; got %s", b.ID())
 	}
+	// The map covers the whole algorithm table.
+	for _, alg := range core.Algorithms() {
+		if alg != core.AlgAuto && s.For(alg) == nil {
+			t.Errorf("%s: no backend", alg)
+		}
+	}
 	for _, id := range IDs() {
 		if s.Get(id) == nil {
 			t.Errorf("Get(%s) = nil", id)

@@ -8,10 +8,21 @@ import (
 	"repro/internal/cost"
 )
 
-// coreOptimize is the shared thin wrapper: the CPU and heuristic backends
-// all execute through core.Optimize and differ only in which algorithms
-// they claim and how many threads they hand over.
-func coreOptimize(ctx context.Context, id ID, q *cost.Query, alg core.Algorithm, opts Options, threads int) (*Result, error) {
+// coreBackend is a substrate that executes through core.Optimize: the
+// sequential exact enumerators on one core (oneCore), the work-stealing
+// CPU-parallel drivers and the heuristics with the requested thread count.
+type coreBackend struct {
+	id      ID
+	oneCore bool
+}
+
+func (b coreBackend) ID() ID { return b.id }
+
+func (b coreBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
+	threads := opts.Threads
+	if b.oneCore {
+		threads = 1
+	}
 	start := time.Now()
 	res, err := core.Optimize(ctx, q, core.Options{
 		Algorithm: alg,
@@ -30,72 +41,10 @@ func coreOptimize(ctx context.Context, id ID, q *cost.Query, alg core.Algorithm,
 	return &Result{
 		Plan:      res.Plan,
 		Stats:     res.Stats,
-		Backend:   id,
+		Backend:   b.id,
 		Algorithm: alg,
 		Elapsed:   time.Since(start),
 	}, nil
 }
 
-// cpuSeq executes the sequential exact enumerators on one core.
-type cpuSeq struct{}
-
-func newCPUSeq() Backend { return cpuSeq{} }
-
-func (cpuSeq) ID() ID { return CPUSeq }
-
-func (cpuSeq) Supports(alg core.Algorithm) bool {
-	switch alg {
-	case core.AlgDPSize, core.AlgDPSub, core.AlgDPCCP, core.AlgMPDP:
-		return true
-	}
-	return false
-}
-
-func (cpuSeq) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
-	return coreOptimize(ctx, CPUSeq, q, alg, opts, 1)
-}
-
-func (cpuSeq) Close() {}
-
-// cpuParallel executes the work-stealing CPU-parallel drivers.
-type cpuParallel struct{}
-
-func newCPUParallel() Backend { return cpuParallel{} }
-
-func (cpuParallel) ID() ID { return CPUParallel }
-
-func (cpuParallel) Supports(alg core.Algorithm) bool {
-	switch alg {
-	case core.AlgPDP, core.AlgDPE, core.AlgMPDPParallel:
-		return true
-	}
-	return false
-}
-
-func (cpuParallel) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
-	return coreOptimize(ctx, CPUParallel, q, alg, opts, opts.Threads)
-}
-
-func (cpuParallel) Close() {}
-
-// heuristicBackend executes the approximate algorithms.
-type heuristicBackend struct{}
-
-func newHeuristic() Backend { return heuristicBackend{} }
-
-func (heuristicBackend) ID() ID { return Heuristic }
-
-func (heuristicBackend) Supports(alg core.Algorithm) bool {
-	switch alg {
-	case core.AlgGEQO, core.AlgGOO, core.AlgMinSel, core.AlgIKKBZ,
-		core.AlgLinDP, core.AlgIDP1, core.AlgIDP2, core.AlgUnionDP:
-		return true
-	}
-	return false
-}
-
-func (heuristicBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
-	return coreOptimize(ctx, Heuristic, q, alg, opts, opts.Threads)
-}
-
-func (heuristicBackend) Close() {}
+func (coreBackend) Close() {}

@@ -99,75 +99,31 @@ func newGPUBackend(cfg GPUConfig) Backend {
 
 func (b *gpuBackend) ID() ID { return GPU }
 
-func (b *gpuBackend) Supports(alg core.Algorithm) bool {
-	switch alg {
-	case core.AlgMPDPGPU, core.AlgDPSubGPU, core.AlgDPSizeGPU:
-		return true
-	}
-	return false
-}
-
 // Devices returns the simulated device count.
 func (b *gpuBackend) Devices() int { return b.cfg.Devices }
 
 func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
 	start := time.Now()
-	m := opts.Model
-	if m == nil {
-		m = cost.DefaultModel()
-	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
-	}
-	in := dp.Input{Q: q, M: m, Ctx: ctx, Arena: opts.Arena, Deadline: deadline}
-
 	var br gpusim.BatchResult
-	switch alg {
-	case core.AlgMPDPGPU:
-		if b.cfg.BatchWindow > 0 {
-			// Select against quit on both sides so an Optimize racing
-			// Close fails loudly with ErrGPUClosed instead of hanging on
-			// a job the drained batcher will never service. (The service
-			// layer never races them — workers drain before backends
-			// close — but the Backend interface makes no such promise.)
-			job := &gpuJob{in: in, done: make(chan gpusim.BatchResult, 1)}
-			select {
-			case b.jobs <- job:
-			case <-b.quit:
-				return nil, ErrGPUClosed
-			}
-			select {
-			case br = <-job.done:
-			case <-ctx.Done():
-				// The batch will still run (and abort promptly via in.Ctx);
-				// done is buffered, so the batcher's delivery never blocks.
-				return nil, context.Cause(ctx)
-			case <-b.quit:
-				// The final drain may still have delivered our result.
-				select {
-				case br = <-job.done:
-				default:
-					return nil, ErrGPUClosed
-				}
-			}
-		} else {
-			br.Plan, br.Stats, br.GPU, br.Err = gpusim.MPDPGPUMulti(in, b.cfg.simConfig())
-		}
-	case core.AlgDPSubGPU, core.AlgDPSizeGPU:
+	if alg == core.AlgMPDPGPU {
+		br = b.mpdp(ctx, q, opts, start)
+	} else {
 		// The baseline GPU algorithms stay single-device (the paper ports
 		// only MPDP to multi-GPU); wrap their stats in the multi view.
-		run := gpusim.DPSubGPU
-		if alg == core.AlgDPSizeGPU {
-			run = gpusim.DPSizeGPU
-		}
 		cfg := b.cfg.simConfig()
 		cfg.Devices = 1
-		var gs gpusim.Stats
-		br.Plan, br.Stats, gs, br.Err = run(in, cfg)
-		br.GPU = gpusim.MultiStats{Stats: gs, Devices: 1, PerDevice: []gpusim.Stats{gs}}
-	default:
-		return nil, fmt.Errorf("backend: gpu backend does not support %q", alg)
+		res, err := core.Optimize(ctx, q, core.Options{
+			Algorithm: alg, Model: opts.Model, Timeout: opts.Timeout, Arena: opts.Arena, GPU: &cfg,
+		})
+		switch {
+		case err != nil:
+			br.Err = err
+		case res.GPU == nil:
+			br.Err = fmt.Errorf("backend: gpu backend does not support %q", alg)
+		default:
+			br.Plan, br.Stats = res.Plan, res.Stats
+			br.GPU = gpusim.MultiStats{Stats: *res.GPU, Devices: 1, PerDevice: []gpusim.Stats{*res.GPU}}
+		}
 	}
 	if br.Err != nil {
 		return nil, br.Err
@@ -181,6 +137,52 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 		GPU:       &gpu,
 		Elapsed:   time.Since(start),
 	}, nil
+}
+
+// mpdp runs MPDP-GPU across the device pool, through the batcher when
+// coalescing is enabled.
+func (b *gpuBackend) mpdp(ctx context.Context, q *cost.Query, opts Options, start time.Time) gpusim.BatchResult {
+	m := opts.Model
+	if m == nil {
+		m = cost.DefaultModel()
+	}
+	var deadline time.Time
+	if opts.Timeout > 0 {
+		deadline = start.Add(opts.Timeout)
+	}
+	in := dp.Input{Q: q, M: m, Ctx: ctx, Arena: opts.Arena, Deadline: deadline}
+	if b.cfg.BatchWindow <= 0 {
+		var br gpusim.BatchResult
+		br.Plan, br.Stats, br.GPU, br.Err = gpusim.MPDPGPUMulti(in, b.cfg.simConfig())
+		return br
+	}
+	// Select against quit on both sides so an Optimize racing Close fails
+	// loudly with ErrGPUClosed instead of hanging on a job the drained
+	// batcher will never service. (The service layer never races them —
+	// workers drain before backends close — but the Backend interface
+	// makes no such promise.)
+	job := &gpuJob{in: in, done: make(chan gpusim.BatchResult, 1)}
+	select {
+	case b.jobs <- job:
+	case <-b.quit:
+		return gpusim.BatchResult{Err: ErrGPUClosed}
+	}
+	select {
+	case br := <-job.done:
+		return br
+	case <-ctx.Done():
+		// The batch will still run (and abort promptly via in.Ctx); done
+		// is buffered, so the batcher's delivery never blocks.
+		return gpusim.BatchResult{Err: context.Cause(ctx)}
+	case <-b.quit:
+		// The final drain may still have delivered our result.
+		select {
+		case br := <-job.done:
+			return br
+		default:
+			return gpusim.BatchResult{Err: ErrGPUClosed}
+		}
+	}
 }
 
 // batcher is the single coalescing loop: block for the first job, hold the

@@ -36,6 +36,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/leaktest"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -370,7 +371,7 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 	}
 
 	var unavailable, misErrored, costMismatch atomic.Int64
-	warmHealthy := &loadgen.Hist{}
+	warmHealthy := &obs.Histogram{}
 	target := func(ctx context.Context, q *cost.Query) error {
 		start := time.Now()
 		res, err := c.Optimize(ctx, q)

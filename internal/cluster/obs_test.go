@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -23,11 +22,11 @@ func TestClusterStatsLatencyMatchesMeasured(t *testing.T) {
 	ctx := context.Background()
 
 	// A loadgen-style client-side mirror: one histogram per stats key.
-	measured := make(map[string]*loadgen.Hist)
+	measured := make(map[string]*obs.Histogram)
 	record := func(key string, d time.Duration) {
 		h := measured[key]
 		if h == nil {
-			h = &loadgen.Hist{}
+			h = &obs.Histogram{}
 			measured[key] = h
 		}
 		h.Record(d)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -100,7 +101,7 @@ func TestWireRoundTripAllFields(t *testing.T) {
 			Key:       "n5|0:1,1:2;s1",
 			Algorithm: "mpdp",
 			Backend:   "cpu-seq",
-			Shape:     service.ShapeChain,
+			Shape:     core.ShapeChain,
 			FellBack:  true,
 			Epoch:     3,
 			Hits:      9,

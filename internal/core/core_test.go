@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/workload"
 )
 
@@ -57,30 +58,71 @@ func TestGPUAlgorithmsReportDeviceStats(t *testing.T) {
 	}
 }
 
+// TestAutoPolicySwitchesAtFallbackLimit pins Route's decisions on both
+// sides of the paper's raised fall-back limit (25 relations, the top of
+// the CPU-parallel band) and of a lowered one, together with each shape's
+// fallback heuristic. It only routes; nothing is enumerated.
 func TestAutoPolicySwitchesAtFallbackLimit(t *testing.T) {
-	small := workload.Star(8, rand.New(rand.NewSource(3)))
-	res, err := Optimize(context.Background(), small, Options{Algorithm: AlgAuto})
+	lowered := Crossover{SmallLimit: 2, CPUParallelLimit: 4}.WithDefaults()
+	tests := []struct {
+		kind          workload.Kind
+		n             int
+		x             Crossover
+		alg, fallback Algorithm
+	}{
+		{workload.KindStar, 8, defaultCrossover, AlgDPCCP, AlgIDP2},
+		{workload.KindChain, 25, defaultCrossover, AlgMPDPParallel, AlgIDP2},
+		{workload.KindChain, 26, defaultCrossover, AlgMPDPGPU, AlgIDP2},
+		{workload.KindCycle, 25, defaultCrossover, AlgMPDPParallel, AlgUnionDP},
+		{workload.KindCycle, 26, defaultCrossover, AlgMPDPGPU, AlgUnionDP},
+		{workload.KindStar, 25, defaultCrossover, AlgMPDPParallel, AlgIDP2},
+		{workload.KindStar, 26, defaultCrossover, AlgIDP2, AlgIDP2},
+		{workload.KindSnowflake, 40, defaultCrossover, AlgMPDPGPU, AlgIDP2},
+		{workload.KindStar, 4, lowered, AlgMPDPParallel, AlgIDP2},
+		{workload.KindStar, 5, lowered, AlgMPDPGPU, AlgIDP2},
+	}
+	for _, tc := range tests {
+		alg, fallback, _ := Route(genQuery(t, tc.kind, tc.n, 4), tc.x)
+		if alg != tc.alg || fallback != tc.fallback {
+			t.Errorf("%s/%d (cpu_parallel_limit %d): routed to %s falling back to %s, want %s and %s",
+				tc.kind, tc.n, tc.x.CPUParallelLimit, alg, fallback, tc.alg, tc.fallback)
+		}
+	}
+}
+
+// TestAutoRunsRoutedAlgorithm: AlgAuto (and the empty name) run exactly
+// what Route picks and report it.
+func TestAutoRunsRoutedAlgorithm(t *testing.T) {
+	for _, q := range []*cost.Query{
+		genQuery(t, workload.KindStar, 8, 3),
+		genQuery(t, workload.KindChain, 16, 3),
+	} {
+		want, _, _ := Route(q, DefaultCrossover())
+		for _, alg := range []Algorithm{AlgAuto, ""} {
+			res, err := Optimize(context.Background(), q, Options{Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Algorithm != want || res.FellBack {
+				t.Errorf("%d rels, %q: ran %s (fellback=%v), want %s", q.N(), alg, res.Algorithm, res.FellBack, want)
+			}
+		}
+	}
+}
+
+// TestAutoFallsBackOnTimeout: an exact route that overruns the budget is
+// retried with the shape's heuristic under a fresh budget.
+func TestAutoFallsBackOnTimeout(t *testing.T) {
+	q := genQuery(t, workload.KindClique, 15, 2)
+	if alg, _, _ := Route(q, DefaultCrossover()); alg != AlgMPDPGPU {
+		t.Fatalf("precondition: clique/15 routes to %s, want mpdp-gpu", alg)
+	}
+	res, err := Optimize(context.Background(), q, Options{Timeout: 20 * time.Millisecond, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GPU == nil {
-		t.Error("Auto below the fall-back limit must plan exactly (GPU MPDP)")
-	}
-	big := workload.Snowflake(40, rand.New(rand.NewSource(4)))
-	res, err = Optimize(context.Background(), big, Options{Algorithm: AlgAuto, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU != nil {
-		t.Error("Auto above the fall-back limit must use the heuristic")
-	}
-	// A custom limit flips the decision.
-	res, err = Optimize(context.Background(), small, Options{Algorithm: AlgAuto, FallbackLimit: 4, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU != nil {
-		t.Error("lowered fall-back limit ignored")
+	if !res.FellBack || res.Algorithm != AlgUnionDP {
+		t.Errorf("ran %s (fellback=%v), want the uniondp fallback", res.Algorithm, res.FellBack)
 	}
 }
 

@@ -1,4 +1,4 @@
-package backend
+package core
 
 import (
 	"bytes"
@@ -7,13 +7,15 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/gpusim"
 )
 
-// Crossover holds the router's backend-crossover thresholds: which
-// substrate plans a query of a given size and shape. The zero value of any
-// field selects the calibrated default (see Calibrate); a JSON file with
-// the same field names overrides them per deployment (LoadCrossover).
+// Crossover holds Route's thresholds: which algorithm, and so which
+// execution substrate, plans a query of a given size and shape. The zero
+// value of any field selects the calibrated default (see Calibrate); a
+// JSON file with the same field names overrides them per deployment
+// (LoadCrossover).
 //
 // The regimes, in increasing query size:
 //
@@ -83,19 +85,19 @@ func (c Crossover) WithDefaults() Crossover {
 func (c Crossover) Validate() error {
 	c = c.WithDefaults()
 	if c.SmallLimit < 1 || c.SmallLimit > c.CPUParallelLimit {
-		return fmt.Errorf("backend: small_limit %d must be in [1, cpu_parallel_limit=%d]",
+		return fmt.Errorf("core: small_limit %d must be in [1, cpu_parallel_limit=%d]",
 			c.SmallLimit, c.CPUParallelLimit)
 	}
 	if c.CPUParallelLimit > c.GPULimit {
-		return fmt.Errorf("backend: cpu_parallel_limit %d exceeds gpu_limit %d",
+		return fmt.Errorf("core: cpu_parallel_limit %d exceeds gpu_limit %d",
 			c.CPUParallelLimit, c.GPULimit)
 	}
 	if c.CliqueCPULimit < 1 || c.GPUCliqueLimit < c.CliqueCPULimit {
-		return fmt.Errorf("backend: gpu_clique_limit %d must be >= clique_cpu_limit %d >= 1",
+		return fmt.Errorf("core: gpu_clique_limit %d must be >= clique_cpu_limit %d >= 1",
 			c.GPUCliqueLimit, c.CliqueCPULimit)
 	}
 	if c.DenseEdgeFactor < 1 {
-		return fmt.Errorf("backend: dense_edge_factor %g must be >= 1", c.DenseEdgeFactor)
+		return fmt.Errorf("core: dense_edge_factor %g must be >= 1", c.DenseEdgeFactor)
 	}
 	return nil
 }
@@ -112,11 +114,11 @@ func LoadCrossover(path string) (Crossover, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return Crossover{}, fmt.Errorf("backend: %s: %w", path, err)
+		return Crossover{}, fmt.Errorf("core: %s: %w", path, err)
 	}
 	c = c.WithDefaults()
 	if err := c.Validate(); err != nil {
-		return Crossover{}, fmt.Errorf("backend: %s: %w", path, err)
+		return Crossover{}, fmt.Errorf("core: %s: %w", path, err)
 	}
 	return c, nil
 }
@@ -127,11 +129,12 @@ func LoadCrossover(path string) (Crossover, error) {
 // rounded down; see BENCH_core.json).
 const cpuPairsPerSec = 25e6
 
+// defaultCrossover is computed once: AlgAuto reads it on every call.
+var defaultCrossover = Calibrate(gpusim.GTX1080(), 5*time.Second)
+
 // DefaultCrossover returns the thresholds calibrated for the paper's
 // GTX 1080 device model and a 5-second per-query compute budget.
-func DefaultCrossover() Crossover {
-	return Calibrate(gpusim.GTX1080(), 5*time.Second)
-}
+func DefaultCrossover() Crossover { return defaultCrossover }
 
 // Calibrate derives the crossover thresholds from the device's work model
 // and a per-query compute budget, instead of hard-coding magic sizes:
@@ -202,4 +205,51 @@ func Calibrate(dev *gpusim.Device, budget time.Duration) Crossover {
 		GPUCliqueLimit:   gpuClique,
 		DenseEdgeFactor:  4,
 	}
+}
+
+// Route is the single routing policy of every driver. It walks the
+// crossover ladder x (already resolved with WithDefaults): sequential DPCCP
+// for small graphs, CPU-parallel MPDP to the paper's fall-back limit, then
+// GPU-MPDP with fused pruning and CCC for large trees and sparse cyclic
+// graphs up to the bitset width. Cliques and dense general graphs (whose
+// connected-set space explodes the same way) cap the exact bands early.
+// Beyond them alg is the shape's heuristic. fallback is always that
+// heuristic — IDP2 for trees, UnionDP otherwise — which callers run when
+// an exact alg exceeds its time budget.
+func Route(q *cost.Query, x Crossover) (alg, fallback Algorithm, shape Shape) {
+	shape = DetectShape(q.G)
+	n, edges := q.N(), len(q.G.Edges)
+	fallback = AlgUnionDP
+	if shape.IsTree() {
+		fallback = AlgIDP2
+	}
+	if n <= x.SmallLimit && n <= 64 {
+		return AlgDPCCP, fallback, shape
+	}
+	// Only literal cliques shrink the CPU-parallel band; the density test
+	// caps only the GPU band, where a dense general graph's connected-set
+	// lattice explodes like a clique's. Dense graphs of 17..25 relations
+	// therefore still get the exact CPU-parallel route.
+	cpuLimit := x.CPUParallelLimit
+	if shape == ShapeClique && x.CliqueCPULimit < cpuLimit {
+		cpuLimit = x.CliqueCPULimit
+	}
+	if n <= cpuLimit && n <= 64 {
+		return AlgMPDPParallel, fallback, shape
+	}
+	gpuLimit := x.GPULimit
+	if shape == ShapeClique || shape == ShapeStar ||
+		(shape == ShapeGeneral && float64(edges) > x.DenseEdgeFactor*float64(n)) {
+		// Cliques and dense graphs explode the candidate-pair space;
+		// stars explode the *lattice* instead — a hub of degree d has
+		// 2^d connected supersets, so a star past ~26 relations is
+		// guaranteed to overflow the memo cap before the GPU run finishes
+		// enumerating. All three skip to the clique cap (stars within the
+		// CPU band never reach here, so stars beyond 25 route to IDP2).
+		gpuLimit = x.GPUCliqueLimit
+	}
+	if n <= gpuLimit && n <= 64 {
+		return AlgMPDPGPU, fallback, shape
+	}
+	return fallback, fallback, shape
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -25,9 +26,10 @@ func TestShedUnderCancellation(t *testing.T) {
 	svc := service.New(service.Config{
 		Workers:    1,
 		QueueDepth: 1,
-		ExactLimit: 64, // cycle-40+ goes to CPU-parallel MPDP: ~2^40 subsets
-		Timeout:    time.Hour,
-		Admission:  service.Admission{MaxQueueWait: 30 * time.Second},
+		// cycle-40+ goes to CPU-parallel MPDP: ~2^40 subsets.
+		Crossover: &core.Crossover{CPUParallelLimit: 64},
+		Timeout:   time.Hour,
+		Admission: service.Admission{MaxQueueWait: 30 * time.Second},
 	})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(New(ServiceEngine(svc), Options{}).Mux())

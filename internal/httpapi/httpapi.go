@@ -453,7 +453,7 @@ func (a *API) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: service.FingerprintQuery(q).Key,
 		Relations:   q.N(),
 		Edges:       len(q.G.Edges),
-		Shape:       string(service.DetectShape(q.G)),
+		Shape:       string(core.DetectShape(q.G)),
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -117,10 +118,11 @@ func contains(ss []string, want string) bool {
 // the HTTP request must cancel that enumeration promptly, free the worker,
 // and account the cancellation in the counters.
 func TestClientDisconnectCancelsInFlightOptimization(t *testing.T) {
-	// ExactLimit 64 disables the GPU/heuristic bands: the cycle-40 goes to
-	// CPU-parallel MPDP, whose final level enumerates 2^40 subsets of the
-	// single full-cycle block. One worker, so a leak would wedge the pool.
-	svc := service.New(service.Config{Workers: 1, ExactLimit: 64, Timeout: time.Hour})
+	// A CPU-parallel limit of 64 disables the GPU/heuristic bands: the
+	// cycle-40 goes to CPU-parallel MPDP, whose final level enumerates 2^40
+	// subsets of the single full-cycle block. One worker, so a leak would
+	// wedge the pool.
+	svc := service.New(service.Config{Workers: 1, Crossover: &core.Crossover{CPUParallelLimit: 64}, Timeout: time.Hour})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(New(ServiceEngine(svc), Options{}).Mux())
 	t.Cleanup(ts.Close)

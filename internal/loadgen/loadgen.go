@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -107,7 +108,7 @@ type Result struct {
 	// Hist holds served-request latency measured from the scheduled send
 	// time: queue delay inside the harness counts against the server, as
 	// it would for a real client.
-	Hist *Hist
+	Hist *obs.Histogram
 	// Elapsed is the wall-clock span from first scheduled arrival to last
 	// completion; AchievedRate is OK/Elapsed in req/s.
 	Elapsed      time.Duration
@@ -121,7 +122,7 @@ func Run(ctx context.Context, target Target, cfg Config) *Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Pool)-1))
 
-	res := &Result{Hist: &Hist{}}
+	res := &Result{Hist: &obs.Histogram{}}
 	var ok, shed, timeouts, errs atomic.Int64
 	var wg sync.WaitGroup
 	inflight := make(chan struct{}, cfg.MaxInFlight)

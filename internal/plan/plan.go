@@ -1,6 +1,6 @@
 // Package plan defines join-tree plans and the memo tables the dynamic
-// programs store their best sub-plans in: a Go-map memo for CPU algorithms
-// and an open-addressing Murmur3 hash table mirroring the GPU memo of §5.
+// programs store their best sub-plans in: the open-addressing Murmur3 Table
+// of §5 the enumerators run on, and the Go-map Memo it is checked against.
 package plan
 
 import (

@@ -9,8 +9,7 @@ import (
 
 // The memo tables absorb one Get per candidate pair in the DP inner loops;
 // these benches compare the Go-map memo against the Murmur3 open-addressing
-// tables of §5 (the pointer-storing HashMemo and the SoA Table the DP hot
-// path runs on).
+// SoA Table of §5 that the DP hot path runs on.
 func benchKeys(n int) []bitset.Mask {
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]bitset.Mask, n)
@@ -34,32 +33,6 @@ func BenchmarkMemoGet(b *testing.B) {
 		if m.Get(keys[i&(len(keys)-1)]) == nil {
 			b.Fatal("miss")
 		}
-	}
-}
-
-func BenchmarkHashMemoGet(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	h := NewHashMemo(len(keys))
-	for _, k := range keys {
-		h.Put(k, &Node{Set: k})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if h.Get(keys[i&(len(keys)-1)]) == nil {
-			b.Fatal("miss")
-		}
-	}
-}
-
-func BenchmarkHashMemoPut(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	h := NewHashMemo(1 << 17)
-	node := &Node{}
-	for i := 0; i < b.N; i++ {
-		h.Put(keys[i&(len(keys)-1)], node)
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 
 // Table is the struct-of-arrays DP table used by every CPU enumerator: an
 // open-addressing hash table keyed by relation-set bitmaps with the Murmur3
-// 64-bit finalizer, the scheme the paper's §5 GPU memo uses (previously
-// mirrored only by HashMemo for device-traffic accounting, now promoted to
-// the default plan memo).
+// 64-bit finalizer, the scheme the paper's §5 GPU memo uses.
 //
-// Unlike Memo/HashMemo it stores no plan nodes at all: each set's best
+// Unlike Memo it stores no plan nodes at all: each set's best
 // cost, best split (left/right masks), operator and cardinality live in
 // flat parallel arrays, so the DP inner loops touch only value types and
 // never call the allocator. The arrays are grouped by access pattern: the
@@ -343,4 +341,16 @@ func (t *Table) Build(s bitset.Mask, leaves []*Node, a *Arena) *Node {
 		return nil
 	}
 	return a.NewNode(s, l, r, e.Op, e.Rows, e.Cost)
+}
+
+// Murmur3Fmix64 is the 64-bit finalizer of MurmurHash3.
+//
+//mpdp:hotpath
+func Murmur3Fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }

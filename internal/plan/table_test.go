@@ -205,91 +205,18 @@ func TestArenaResetRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestHashMemoGrowthAtHighLoad drives the open-addressing memo past several
-// resizes and verifies the rehash preserves every key at a legal load.
-func TestHashMemoGrowthAtHighLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	h := NewHashMemo(2)
-	want := map[bitset.Mask]*Node{}
-	for i := 0; i < 20000; i++ {
-		s := bitset.Mask(rng.Uint64())
-		if s == 0 {
-			continue
+func TestMurmurFinalizerAvalanche(t *testing.T) {
+	// Flipping one input bit must flip roughly half the output bits.
+	for bit := 0; bit < 64; bit++ {
+		a := Murmur3Fmix64(0x12345678)
+		b := Murmur3Fmix64(0x12345678 ^ (1 << uint(bit)))
+		diff := a ^ b
+		ones := 0
+		for d := diff; d != 0; d &= d - 1 {
+			ones++
 		}
-		n := &Node{Set: s}
-		want[s] = n
-		h.Put(s, n)
-	}
-	if h.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", h.Len(), len(want))
-	}
-	if 10*h.used > 7*len(h.keys) {
-		t.Errorf("load factor above 0.7 after growth: %d/%d", h.used, len(h.keys))
-	}
-	for s, n := range want {
-		if h.Get(s) != n {
-			t.Fatalf("lost key %v across growth", s)
+		if ones < 16 || ones > 48 {
+			t.Errorf("bit %d: only %d output bits flipped", bit, ones)
 		}
-	}
-}
-
-// TestHashMemoProbeMonotonicity checks the memory-traffic accounting: every
-// Get/Put inspects at least one slot and the probe counter never decreases,
-// including across table growth.
-func TestHashMemoProbeMonotonicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	h := NewHashMemo(2)
-	last := h.Probe
-	for i := 0; i < 5000; i++ {
-		s := bitset.Mask(rng.Uint64())
-		if s == 0 {
-			continue
-		}
-		if rng.Intn(2) == 0 {
-			h.Put(s, &Node{Set: s})
-		} else {
-			h.Get(s)
-		}
-		if h.Probe <= last {
-			t.Fatalf("op %d: probe count %d did not advance past %d", i, h.Probe, last)
-		}
-		last = h.Probe
-	}
-}
-
-// TestHashMemoDifferentialRandomOps replays a randomized Put/Improve/Get
-// sequence against the reference map memo; results must match op for op.
-func TestHashMemoDifferentialRandomOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	h := NewHashMemo(2)
-	m := NewMemo(8)
-	keys := make([]bitset.Mask, 200)
-	for i := range keys {
-		for keys[i] == 0 {
-			keys[i] = bitset.Mask(rng.Uint64() & 0xfff)
-		}
-	}
-	for i := 0; i < 20000; i++ {
-		s := keys[rng.Intn(len(keys))]
-		switch rng.Intn(3) {
-		case 0:
-			n := &Node{Set: s, Cost: rng.Float64() * 100}
-			h.Put(s, n)
-			m.Put(s, n)
-		case 1:
-			n := &Node{Set: s, Cost: rng.Float64() * 100}
-			hi := h.Improve(s, n)
-			mi := m.Improve(s, n)
-			if hi != mi {
-				t.Fatalf("op %d: Improve divergence on %v: hash %v, map %v", i, s, hi, mi)
-			}
-		default:
-			if h.Get(s) != m.Get(s) {
-				t.Fatalf("op %d: Get divergence on %v", i, s)
-			}
-		}
-	}
-	if h.Len() != m.Len() {
-		t.Errorf("Len mismatch: %d vs %d", h.Len(), m.Len())
 	}
 }

@@ -28,7 +28,7 @@ type Entry struct {
 	// Backend is the substrate that produced the plan; it travels with
 	// the entry so replicated plans keep their provenance cluster-wide.
 	Backend  backend.ID
-	Shape    Shape
+	Shape    core.Shape
 	GPU      *gpusim.MultiStats // device work model when Backend == gpu
 	FellBack bool
 	// Epoch is the catalog stats epoch the plan was produced under, Hits

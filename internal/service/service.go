@@ -19,10 +19,7 @@ import (
 )
 
 // Config tunes a Service. The zero value selects the defaults listed on
-// each field, which follow the regimes of the paper's evaluation: exact DP
-// for small graphs, CPU-parallel MPDP for medium ones, GPU-MPDP for large
-// trees and sparse cyclic graphs up to the bitset width, IDP2/UnionDP
-// beyond.
+// each field; routing follows core.Route under the configured Crossover.
 type Config struct {
 	// CacheShards is the plan-cache shard count (0: 16; rounded up to a
 	// power of two).
@@ -42,22 +39,14 @@ type Config struct {
 	QueueDepth int
 	// Threads is passed to CPU-parallel optimizers (0: all cores).
 	Threads int
-	// Crossover sets the backend-crossover thresholds of the router (nil:
-	// backend.DefaultCrossover(), calibrated from the GPU device model;
-	// load deployment overrides with backend.LoadCrossover, which
-	// validates the ladder). Programmatic values are taken as-is: the
-	// router is a waterfall (small → cpu-parallel → gpu → heuristic), so
-	// an inverted ladder is well-defined and simply leaves the shadowed
-	// band empty (e.g. GPULimit < CPUParallelLimit disables the GPU
-	// band).
-	Crossover *backend.Crossover
-	// SmallLimit, when non-zero, overrides Crossover.SmallLimit (kept for
-	// configuration compatibility with the pre-backend router).
-	SmallLimit int
-	// ExactLimit, when non-zero, overrides Crossover.CPUParallelLimit.
-	ExactLimit int
-	// CliqueExactLimit, when non-zero, overrides Crossover.CliqueCPULimit.
-	CliqueExactLimit int
+	// Crossover sets core.Route's thresholds (nil: core.DefaultCrossover(),
+	// calibrated from the GPU device model; zero fields take the defaults;
+	// load deployment overrides with core.LoadCrossover, which validates
+	// the ladder). Programmatic values are taken as-is: the router is a
+	// waterfall (small → cpu-parallel → gpu → heuristic), so an inverted
+	// ladder is well-defined and simply leaves the shadowed band empty
+	// (e.g. GPULimit < CPUParallelLimit disables the GPU band).
+	Crossover *core.Crossover
 	// GPU configures the simulated GPU backend: device model, device
 	// count, and the request-coalescing batch window (zero value: 2 ×
 	// GTX 1080 with a 200µs window).
@@ -74,7 +63,7 @@ type Config struct {
 	Slow obs.SlowConfig
 	// Timeout is the per-query optimization budget. An exact run that
 	// exceeds it falls back to the shape's heuristic with a fresh budget
-	// (0: 30s).
+	// (0: core.DefaultTimeout, 30s).
 	Timeout time.Duration
 	// Model is the cost model (nil: cost.DefaultModel()).
 	Model *cost.Model
@@ -97,7 +86,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 4 * c.Workers
 	}
 	if c.Timeout == 0 {
-		c.Timeout = 30 * time.Second
+		c.Timeout = core.DefaultTimeout
 	}
 	if c.Model == nil {
 		c.Model = cost.DefaultModel()
@@ -106,24 +95,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// crossover resolves the router thresholds: the Crossover field (or the
-// calibrated defaults), with the legacy per-field overrides applied on
-// top.
-func (c Config) crossover() backend.Crossover {
-	x := backend.DefaultCrossover()
-	if c.Crossover != nil {
-		x = c.Crossover.WithDefaults()
+// crossover resolves the router thresholds: the Crossover field, or the
+// calibrated defaults.
+func (c Config) crossover() core.Crossover {
+	if c.Crossover == nil {
+		return core.DefaultCrossover()
 	}
-	if c.SmallLimit != 0 {
-		x.SmallLimit = c.SmallLimit
-	}
-	if c.ExactLimit != 0 {
-		x.CPUParallelLimit = c.ExactLimit
-	}
-	if c.CliqueExactLimit != 0 {
-		x.CliqueCPULimit = c.CliqueExactLimit
-	}
-	return x
+	return c.Crossover.WithDefaults()
 }
 
 // Result is one service answer. Plan is always a private copy in the
@@ -135,7 +113,7 @@ type Result struct {
 	// cpu-parallel, gpu, heuristic); cache hits report the backend of the
 	// original optimization.
 	Backend backend.ID
-	Shape   Shape
+	Shape   core.Shape
 	Stats   dp.Stats
 	// GPU carries the multi-device work model when Backend == gpu. It is
 	// shared with the cache entry: treat as read-only.
@@ -210,7 +188,7 @@ type request struct {
 // package comment. Create with New, release with Close.
 type Service struct {
 	cfg      Config
-	xover    backend.Crossover
+	xover    core.Crossover
 	backends *backend.Set
 	cache    *Cache
 	submemo  *SubMemo
@@ -334,60 +312,11 @@ func (s *Service) BumpStatsEpoch() (old, cur uint64) {
 	return cur - 1, cur
 }
 
-// Route reports which (algorithm, backend) pair the adaptive router would
-// pick for q, given its size, detected shape and edge density.
-func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, Shape) {
-	shape := DetectShape(q.G)
-	alg, bid := s.route(q.N(), shape, len(q.G.Edges))
-	return alg, bid, shape
-}
-
-// Crossover returns the resolved router thresholds.
-func (s *Service) Crossover() backend.Crossover { return s.xover }
-
-// route walks the crossover ladder (see backend.Crossover): sequential
-// DPCCP for small graphs, CPU-parallel MPDP to the paper's fall-back
-// limit, then — where the pre-GPU router gave up and went heuristic —
-// GPU-MPDP with fused pruning and CCC for large trees and sparse cyclic
-// graphs up to the bitset width. Cliques and dense general graphs (whose
-// connected-set space explodes the same way) cap the exact bands early,
-// and everything beyond goes to the shape's heuristic.
-func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.ID) {
-	x := &s.xover
-	if n <= x.SmallLimit && n <= 64 {
-		return core.AlgDPCCP, backend.CPUSeq
-	}
-	// Only literal cliques shrink the CPU-parallel band (its pre-backend
-	// contract); the density test additionally caps the new GPU band,
-	// where a dense general graph's connected-set lattice explodes like a
-	// clique's. Dense graphs of 17..25 relations therefore still get the
-	// exact CPU-parallel route they always had.
-	cpuLimit := x.CPUParallelLimit
-	if shape == ShapeClique && x.CliqueCPULimit < cpuLimit {
-		cpuLimit = x.CliqueCPULimit
-	}
-	if n <= cpuLimit && n <= 64 {
-		return core.AlgMPDPParallel, backend.CPUParallel
-	}
-	gpuLimit := x.GPULimit
-	if shape == ShapeClique || shape == ShapeStar ||
-		(shape == ShapeGeneral && float64(edges) > x.DenseEdgeFactor*float64(n)) {
-		// Cliques and dense graphs explode the candidate-pair space;
-		// stars explode the *lattice* instead — a hub of degree d has
-		// 2^d connected supersets, so a star past ~26 relations is
-		// mathematically guaranteed to overflow the memo cap before the
-		// GPU run finishes enumerating. All three skip to the clique cap
-		// (stars ≤ the CPU band never reach here, so in practice stars
-		// route heuristically beyond 25 — the pre-backend behaviour).
-		gpuLimit = x.GPUCliqueLimit
-	}
-	if n <= gpuLimit && n <= 64 {
-		return core.AlgMPDPGPU, backend.GPU
-	}
-	if shape.IsTree() {
-		return core.AlgIDP2, backend.Heuristic
-	}
-	return core.AlgUnionDP, backend.Heuristic
+// Route reports which (algorithm, backend) pair core.Route picks for q
+// under this service's crossover, and q's detected shape.
+func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, core.Shape) {
+	alg, _, shape := core.Route(q, s.xover)
+	return alg, backend.Of(alg), shape
 }
 
 // Optimize plans q, serving from the sharded plan cache when an
@@ -759,17 +688,16 @@ func (s *Service) serve(r request, arena *plan.Arena) {
 		return
 	}
 	routeDone := r.tr.StartSpan(obs.PhaseRoute)
-	shape := DetectShape(r.q.G)
-	alg, bid := s.route(r.q.N(), shape, len(r.q.G.Edges))
-	s.counters.observeRoute(alg, bid)
+	alg, fallback, shape := core.Route(r.q, s.xover)
+	s.counters.observeRoute(alg, backend.Of(alg))
 	routeDone()
 
 	arena.Reset()
 	enumDone := r.tr.StartSpan(obs.PhaseEnumerate)
-	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, r.fp.Key, alg, bid, shape, arena)
+	res, err := s.optimizeWithFallback(r.fl.ctx, r.q, r.fp.Key, alg, fallback, arena)
 	enumDone()
 	if err == nil {
-		s.counters.observeServed(usedBid)
+		s.counters.observeServed(res.Backend)
 		if r.stale != nil {
 			// Lazy re-validation of the structural twin found on the probe:
 			// re-cost its join order under current statistics and keep it
@@ -795,11 +723,11 @@ func (s *Service) serve(r request, arena *plan.Arena) {
 			key:       r.fp.Key,
 			plan:      remapPlan(res.Plan, r.fp.Perm),
 			stats:     res.Stats,
-			alg:       usedAlg,
-			backend:   usedBid,
+			alg:       res.Algorithm,
+			backend:   res.Backend,
 			shape:     shape,
 			gpu:       res.GPU,
-			fellBack:  usedAlg != alg,
+			fellBack:  res.Algorithm != alg,
 			epoch:     s.StatsEpoch(),
 			structKey: r.sfp.Key,
 			structOf:  structOf,
@@ -837,14 +765,14 @@ func (s *Service) finishFlight(r request) {
 	close(r.fl.done)
 }
 
-// optimizeWithFallback runs the routed algorithm on the routed backend
-// under the time budget; when an exact route times out it retries once
-// with the shape's heuristic under a fresh budget (the adaptive part of
+// optimizeWithFallback runs the routed algorithm on its backend under the
+// time budget; when an exact route times out it retries once with the
+// router's fallback heuristic under a fresh budget (the adaptive part of
 // adaptive routing: the router's crossover thresholds are estimates, the
 // budget is the contract). The fallback is charged to the backend that
 // timed out. Caller cancellation (ctx) aborts outright — a caller that
 // walked away gets no heuristic retry.
-func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, fpKey string, alg core.Algorithm, bid backend.ID, shape Shape, arena *plan.Arena) (*backend.Result, core.Algorithm, backend.ID, error) {
+func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, fpKey string, alg, fallback core.Algorithm, arena *plan.Arena) (*backend.Result, error) {
 	warm, harvest := s.memoHooks(q, fpKey)
 	opts := backend.Options{
 		Model:   s.cfg.Model,
@@ -855,15 +783,10 @@ func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, fpKey
 		Warm:    warm,
 		Harvest: harvest,
 	}
-	res, err := s.backends.Get(bid).Optimize(ctx, q, alg, opts)
-	if err == nil || !errors.Is(err, dp.ErrTimeout) || !alg.IsExact() {
-		return res, alg, bid, err
+	res, err := s.backends.For(alg).Optimize(ctx, q, alg, opts)
+	if !errors.Is(err, dp.ErrTimeout) || !alg.IsExact() {
+		return res, err
 	}
-	s.counters.observeFallback(bid)
-	fb := core.AlgUnionDP
-	if shape.IsTree() {
-		fb = core.AlgIDP2
-	}
-	res, err = s.backends.Get(backend.Heuristic).Optimize(ctx, q, fb, opts)
-	return res, fb, backend.Heuristic, err
+	s.counters.observeFallback(backend.Of(alg))
+	return s.backends.For(fallback).Optimize(ctx, q, fallback, opts)
 }

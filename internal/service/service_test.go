@@ -64,103 +64,6 @@ func TestRouterMatchesDPCCPSmall(t *testing.T) {
 	}
 }
 
-func TestRouteThresholds(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	tests := []struct {
-		kind workload.Kind
-		n    int
-		want core.Algorithm
-		bid  backend.ID
-	}{
-		{workload.KindChain, 8, core.AlgDPCCP, backend.CPUSeq},
-		{workload.KindClique, 12, core.AlgDPCCP, backend.CPUSeq},
-		{workload.KindMB, 20, core.AlgMPDPParallel, backend.CPUParallel},
-		{workload.KindChain, 25, core.AlgMPDPParallel, backend.CPUParallel},
-		// Beyond the CPU clique cap the GPU band picks cliques up, to its
-		// own cap; past that, the heuristics.
-		{workload.KindClique, 16, core.AlgMPDPGPU, backend.GPU},
-		{workload.KindClique, 20, core.AlgUnionDP, backend.Heuristic},
-		// The 26..GPULimit band used to be the heuristic fallback;
-		// bounded-degree trees and sparse cyclic graphs now stay exact on
-		// the simulated GPU.
-		{workload.KindCycle, 40, core.AlgMPDPGPU, backend.GPU},
-		{workload.KindSnowflake, 30, core.AlgMPDPGPU, backend.GPU},
-		// Stars are hub-bombs: a degree-d hub has 2^d connected supersets,
-		// so past the CPU band they skip the GPU and go straight to the
-		// tree heuristic (the pre-backend behaviour).
-		{workload.KindStar, 40, core.AlgIDP2, backend.Heuristic},
-		// Past the bitset width exact enumeration is impossible anywhere.
-		{workload.KindStar, 70, core.AlgIDP2, backend.Heuristic},
-		{workload.KindCycle, 70, core.AlgUnionDP, backend.Heuristic},
-	}
-	for _, tc := range tests {
-		q := genQuery(t, tc.kind, tc.n, 5)
-		alg, bid, _ := s.Route(q)
-		if alg != tc.want || bid != tc.bid {
-			t.Errorf("%s/%d: routed to %s on %s, want %s on %s",
-				tc.kind, tc.n, alg, bid, tc.want, tc.bid)
-		}
-	}
-}
-
-// TestRouteDenseGeneralCapped: a cyclic general graph with edge density
-// beyond DenseEdgeFactor caps the GPU band like a clique — its
-// connected-set space explodes the same way — but keeps the exact
-// CPU-parallel band it always had below 25 relations.
-func TestRouteDenseGeneralCapped(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	x := s.Crossover()
-
-	// A near-clique: clique minus one edge is still ShapeGeneral but far
-	// denser than DenseEdgeFactor allows.
-	nearClique := func(n int) *cost.Query {
-		q := genQuery(t, workload.KindClique, n, 3)
-		q.G.Edges = q.G.Edges[:len(q.G.Edges)-1]
-		if shape := DetectShape(q.G); shape != ShapeGeneral {
-			t.Fatalf("clique minus an edge detected as %s, want general", shape)
-		}
-		return q
-	}
-
-	// Inside the CPU band, density must not downgrade exactness: the
-	// pre-backend router planned these exactly with parallel MPDP.
-	n := x.GPUCliqueLimit + 2 // 18 by default, within cpu_parallel_limit
-	alg, bid, _ := s.Route(nearClique(n))
-	if alg != core.AlgMPDPParallel || bid != backend.CPUParallel {
-		t.Errorf("dense general graph of %d rels routed to %s on %s, want mpdp-cpu on cpu-parallel",
-			n, alg, bid)
-	}
-
-	// Past the CPU band, dense graphs skip the GPU band (capped at
-	// gpu_clique_limit) and go heuristic.
-	alg, bid, _ = s.Route(nearClique(30))
-	if alg != core.AlgUnionDP || bid != backend.Heuristic {
-		t.Errorf("dense general graph of 30 rels routed to %s on %s, want uniondp on heuristic",
-			alg, bid)
-	}
-
-	// A sparse cycle of the same size stays exact on the GPU.
-	sparse := genQuery(t, workload.KindCycle, 30, 3)
-	alg, bid, _ = s.Route(sparse)
-	if alg != core.AlgMPDPGPU || bid != backend.GPU {
-		t.Errorf("sparse cycle of 30 rels routed to %s on %s, want mpdp-gpu on gpu", alg, bid)
-	}
-}
-
-// TestRouteCrossoverConfig: config-loaded thresholds move the band edges.
-func TestRouteCrossoverConfig(t *testing.T) {
-	s := New(Config{Crossover: &backend.Crossover{GPULimit: 30}})
-	defer s.Close()
-	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 30, 1)); alg != core.AlgMPDPGPU || bid != backend.GPU {
-		t.Errorf("cycle/30 under gpu_limit=30: %s on %s", alg, bid)
-	}
-	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 31, 1)); alg != core.AlgUnionDP || bid != backend.Heuristic {
-		t.Errorf("cycle/31 over gpu_limit=30: %s on %s", alg, bid)
-	}
-}
-
 func TestWarmCacheHitAndIsomorphicHit(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -315,7 +218,7 @@ func TestFallbackOnTimeout(t *testing.T) {
 	}
 	// Force the router to hand a 16-clique to sequential DPCCP with a
 	// budget it cannot meet; the service must fall back to UnionDP.
-	s := New(Config{SmallLimit: 16, Timeout: 150 * time.Millisecond, K: 8})
+	s := New(Config{Crossover: &core.Crossover{SmallLimit: 16}, Timeout: 150 * time.Millisecond, K: 8})
 	defer s.Close()
 	q := genQuery(t, workload.KindClique, 16, 2)
 	res, err := s.Optimize(context.Background(), q)
@@ -393,7 +296,7 @@ func TestGPUBandServesExactPlans(t *testing.T) {
 }
 
 // hubTreeQuery builds an n-relation tree with a degree-(n-5) hub plus a
-// short chain tail, so DetectShape reports ShapeTree (not ShapeStar) while
+// short chain tail, so core.DetectShape reports a tree (not a star) while
 // the hub's ~2^(n-5) connected supersets still overflow the memo cap.
 func hubTreeQuery(t *testing.T, n int) *cost.Query {
 	t.Helper()
@@ -422,7 +325,7 @@ func TestHubHeavyGPUBandFallsBackWithinBudget(t *testing.T) {
 	s := New(Config{Timeout: 300 * time.Millisecond, K: 8})
 	defer s.Close()
 	q := hubTreeQuery(t, 40)
-	if shape := DetectShape(q.G); shape != ShapeTree {
+	if shape := core.DetectShape(q.G); shape != core.ShapeTree {
 		t.Fatalf("precondition: hub tree detected as %s, want tree", shape)
 	}
 	start := time.Now()

@@ -32,11 +32,8 @@ type Counters struct {
 	queueDepth atomic.Int64
 	inflight   atomic.Int64
 
-	routeDPCCP   atomic.Uint64
-	routeMPDP    atomic.Uint64
-	routeMPDPGPU atomic.Uint64
-	routeIDP2    atomic.Uint64
-	routeUnionDP atomic.Uint64
+	// routes counts routing decisions, indexed like routeLabels.
+	routes [len(routeLabels)]atomic.Uint64
 
 	// Subgraph-memo and stats-epoch instrumentation: warmRuns counts
 	// optimizations whose enumeration was offered a warm start (the memo
@@ -68,6 +65,19 @@ type Counters struct {
 	// hit/miss distributions per backend plus shed and queue-wait, for
 	// /metrics and the quantile rollup in /v1/stats.
 	lat LatencySet
+}
+
+// routeLabels lists the algorithms core.Route picks, each with its
+// mpdp_route_total label.
+var routeLabels = [...]struct {
+	alg   core.Algorithm
+	label string
+}{
+	{core.AlgDPCCP, "dpccp"},
+	{core.AlgMPDPParallel, "mpdp_cpu"},
+	{core.AlgMPDPGPU, "mpdp_gpu"},
+	{core.AlgIDP2, "idp2"},
+	{core.AlgUnionDP, "uniondp"},
 }
 
 // backendCounters is one substrate's slice of the instrumentation.
@@ -193,11 +203,11 @@ func (c *Counters) Snapshot() Snapshot {
 		Queued:       c.queued.Load(),
 		QueueDepth:   c.queueDepth.Load(),
 		InFlight:     c.inflight.Load(),
-		RouteDPCCP:   c.routeDPCCP.Load(),
-		RouteMPDP:    c.routeMPDP.Load(),
-		RouteMPDPGPU: c.routeMPDPGPU.Load(),
-		RouteIDP2:    c.routeIDP2.Load(),
-		RouteUnionDP: c.routeUnionDP.Load(),
+		RouteDPCCP:   c.routes[0].Load(),
+		RouteMPDP:    c.routes[1].Load(),
+		RouteMPDPGPU: c.routes[2].Load(),
+		RouteIDP2:    c.routes[3].Load(),
+		RouteUnionDP: c.routes[4].Load(),
 
 		WarmStartRuns:   c.warmRuns.Load(),
 		WarmStartSeeded: c.warmSeeded.Load(),
@@ -283,17 +293,10 @@ func (c *Counters) observeQueueWait(d time.Duration) {
 }
 
 func (c *Counters) observeRoute(alg core.Algorithm, id backend.ID) {
-	switch alg {
-	case core.AlgDPCCP:
-		c.routeDPCCP.Add(1)
-	case core.AlgMPDPParallel:
-		c.routeMPDP.Add(1)
-	case core.AlgMPDPGPU:
-		c.routeMPDPGPU.Add(1)
-	case core.AlgIDP2:
-		c.routeIDP2.Add(1)
-	case core.AlgUnionDP:
-		c.routeUnionDP.Add(1)
+	for i := range routeLabels {
+		if routeLabels[i].alg == alg {
+			c.routes[i].Add(1)
+		}
 	}
 	if b := c.slot(id); b != nil {
 		b.routed.Add(1)
@@ -325,11 +328,9 @@ func (c *Counters) writeMetrics(mw *obs.MetricsWriter) {
 	mw.Gauge("mpdp_stats_epoch", "Current catalog stats epoch.", nil, float64(c.statsEpoch.Load()))
 
 	const routeHelp = "Routing decisions by algorithm."
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, c.routeDPCCP.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, c.routeMPDP.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, c.routeMPDPGPU.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, c.routeIDP2.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "uniondp"}, c.routeUnionDP.Load())
+	for i := range routeLabels {
+		mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": routeLabels[i].label}, c.routes[i].Load())
+	}
 
 	for _, id := range backend.IDs() {
 		i, ok := slotIdx(id)

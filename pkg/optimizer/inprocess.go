@@ -13,9 +13,11 @@ import (
 type inProcess struct{}
 
 // InProcess returns the library driver: every Optimize call runs the
-// selected algorithm (default AlgAuto) synchronously in this process, with
-// no cache and no routing. It is the driver with full per-call control:
-// WithAlgorithm, WithThreads, WithGPUDevices and friends all apply.
+// selected algorithm synchronously in this process, with no cache. The
+// default, AlgAuto, runs the algorithm the serving drivers' router picks
+// under the default crossover, with their heuristic fallback on timeout.
+// It is the driver with full per-call control: WithAlgorithm, WithThreads,
+// WithGPUDevices and friends all apply.
 func InProcess() Optimizer { return inProcess{} }
 
 func (inProcess) Close() error { return nil }
@@ -45,18 +47,16 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	out := &Result{
 		Cost:        res.Plan.Cost,
 		Rows:        res.Plan.Rows,
-		Algorithm:   o.algorithm,
+		Algorithm:   Algorithm(res.Algorithm),
 		Fingerprint: service.FingerprintQuery(q.q).Key,
-		Shape:       string(service.DetectShape(q.q.G)),
+		Shape:       string(core.DetectShape(q.q.G)),
+		FellBack:    res.FellBack,
 		Elapsed:     time.Since(start),
 		Evaluated:   res.Stats.Evaluated,
 		CCPPairs:    res.Stats.CCP,
 	}
-	if out.Algorithm == "" {
-		out.Algorithm = AlgAuto
-	}
 	if res.GPU != nil {
-		out.GPUDevices = 1 // core's *-gpu algorithms model a single device
+		out.GPUDevices = 1 // core's default device pool
 		if o.gpuDev > 0 {
 			out.GPUDevices = o.gpuDev
 		}

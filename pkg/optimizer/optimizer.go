@@ -58,7 +58,8 @@ const (
 	AlgIDP1    Algorithm = "idp1"
 	AlgIDP2    Algorithm = "idp2-mpdp"
 	AlgUnionDP Algorithm = "uniondp-mpdp"
-	// AlgAuto picks the paper's recommended policy for the query size.
+	// AlgAuto runs the algorithm the shared router (core.Route) picks for
+	// the query's size and shape — the serving drivers' choice.
 	AlgAuto Algorithm = "auto"
 )
 
@@ -91,13 +92,13 @@ type Result struct {
 	// Cost and Rows of the chosen plan under the paper's cost model.
 	Cost float64
 	Rows float64
-	// Algorithm that produced the plan and the execution Backend it ran on
-	// (cpu-seq, cpu-parallel, gpu, heuristic; empty for InProcess runs of
-	// explicitly chosen algorithms).
+	// Algorithm that produced the plan (under AlgAuto, the routed one) and
+	// the execution Backend it ran on (cpu-seq, cpu-parallel, gpu,
+	// heuristic; empty for InProcess).
 	Algorithm Algorithm
 	Backend   string
 	// Shape is the detected join-graph shape (chain, star, clique, tree,
-	// general; empty for InProcess).
+	// general).
 	Shape string
 	// Fingerprint is the canonical join-graph fingerprint: the cache
 	// identity shared by isomorphic queries with identical statistics.

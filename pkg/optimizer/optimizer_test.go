@@ -12,11 +12,16 @@ import (
 	"repro/internal/service"
 )
 
+// testBudget is the optimization budget of every driver the tests build:
+// long enough that no exact run falls back to a heuristic even under the
+// race detector, so all drivers plan alike.
+const testBudget = 5 * time.Minute
+
 // newRemoteOverService spins an httptest server over a fresh service and
 // returns a Remote driver pointed at it.
 func newRemoteOverService(t *testing.T) Optimizer {
 	t.Helper()
-	svc := service.New(service.Config{Workers: 2})
+	svc := service.New(service.Config{Workers: 2, Timeout: testBudget})
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(httpapi.New(httpapi.ServiceEngine(svc), httpapi.Options{}).Mux())
 	t.Cleanup(ts.Close)
@@ -37,7 +42,7 @@ func newRemoteOverCluster(t *testing.T) Optimizer {
 	c := cluster.New(cluster.Config{
 		Nodes:    2,
 		Replicas: 2,
-		Service:  service.Config{Workers: 2},
+		Service:  service.Config{Workers: 2, Timeout: testBudget},
 		Retry:    cluster.RetryPolicy{AttemptTimeout: 2 * time.Minute},
 	})
 	t.Cleanup(c.Close)
@@ -50,18 +55,16 @@ func newRemoteOverCluster(t *testing.T) Optimizer {
 	return r
 }
 
-// TestThreeDriverRoundTrip is the PR's acceptance criterion: one
-// 20-relation MusicBrainz query through InProcess, Served and Remote (the
-// latter against both server kinds) produces cost-identical plans and the
-// same canonical fingerprint everywhere.
+// TestThreeDriverRoundTrip: the same query through InProcess (default
+// AlgAuto), Served and Remote (against both server kinds) runs the same
+// algorithm and produces cost-identical plans under the same canonical
+// fingerprint. The queries sit on both sides of every band edge of the
+// default crossover: DPCCP/CPU-parallel at 12, CPU-parallel/GPU at 25 and
+// at the clique cap 14, GPU/heuristic at gpu_limit (41), plus a star just
+// past the CPU band, which skips the GPU.
 func TestThreeDriverRoundTrip(t *testing.T) {
-	q := MusicBrainz(20, 3)
-	if q.Relations() != 20 {
-		t.Fatalf("workload produced %d relations, want 20", q.Relations())
-	}
-
 	inproc := InProcess()
-	servedDrv := Served(ServedConfig{Workers: 2})
+	servedDrv := Served(ServedConfig{Workers: 2, Timeout: testBudget})
 	t.Cleanup(func() { servedDrv.Close() })
 	remoteSvc := newRemoteOverService(t)
 	remoteClu := newRemoteOverCluster(t)
@@ -76,31 +79,56 @@ func TestThreeDriverRoundTrip(t *testing.T) {
 		{"remote-serve", remoteSvc},
 		{"remote-cluster", remoteClu},
 	}
-	results := make([]*Result, len(runs))
-	for i, r := range runs {
-		res, err := r.drv.Optimize(context.Background(), q, WithTimeout(2*time.Minute))
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
+	for _, tc := range []struct {
+		name string
+		q    *Query
+	}{
+		{"musicbrainz-20", MusicBrainz(20, 3)},
+		{"chain-12", Chain(12, 3)},
+		{"chain-13", Chain(13, 3)},
+		{"cycle-25", Cycle(25, 3)},
+		{"cycle-26", Cycle(26, 3)},
+		{"chain-41", Chain(41, 3)},
+		{"chain-42", Chain(42, 3)},
+		{"cycle-41", Cycle(41, 3)},
+		{"cycle-42", Cycle(42, 3)},
+		{"clique-14", Clique(14, 3)},
+		{"clique-15", Clique(15, 3)},
+		{"star-26", Star(26, 3)},
+	} {
+		results := make([]*Result, len(runs))
+		for i, r := range runs {
+			res, err := r.drv.Optimize(context.Background(), tc.q, WithTimeout(testBudget))
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, r.name, err)
+			}
+			if res.Cost <= 0 {
+				t.Fatalf("%s %s: non-positive cost %g", tc.name, r.name, res.Cost)
+			}
+			if res.Fingerprint == "" {
+				t.Errorf("%s %s: no fingerprint", tc.name, r.name)
+			}
+			results[i] = res
 		}
-		if res.Cost <= 0 {
-			t.Fatalf("%s: non-positive cost %g", r.name, res.Cost)
+		base := results[0]
+		if base.Algorithm == AlgAuto || base.FellBack {
+			t.Errorf("%s inprocess: ran %s (fellback=%v), want the routed algorithm", tc.name, base.Algorithm, base.FellBack)
 		}
-		if res.Fingerprint == "" {
-			t.Errorf("%s: no fingerprint", r.name)
+		for i, res := range results[1:] {
+			name := runs[i+1].name
+			if res.Cost != base.Cost {
+				t.Errorf("%s %s cost %g != inprocess cost %g (%.3gx)", tc.name, name, res.Cost, base.Cost, base.Cost/res.Cost)
+			}
+			if res.Fingerprint != base.Fingerprint {
+				t.Errorf("%s %s fingerprint %q != inprocess %q", tc.name, name, res.Fingerprint, base.Fingerprint)
+			}
+			if res.Algorithm != base.Algorithm {
+				t.Errorf("%s %s ran %s, inprocess ran %s", tc.name, name, res.Algorithm, base.Algorithm)
+			}
 		}
-		results[i] = res
-	}
-	base := results[0]
-	for i, res := range results[1:] {
-		if res.Cost != base.Cost {
-			t.Errorf("%s cost %g != inprocess cost %g", runs[i+1].name, res.Cost, base.Cost)
+		if results[3].Node == "" {
+			t.Errorf("%s remote-cluster result has no serving node", tc.name)
 		}
-		if res.Fingerprint != base.Fingerprint {
-			t.Errorf("%s fingerprint %q != inprocess %q", runs[i+1].name, res.Fingerprint, base.Fingerprint)
-		}
-	}
-	if results[3].Node == "" {
-		t.Errorf("remote-cluster result has no serving node")
 	}
 }
 

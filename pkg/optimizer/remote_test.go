@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -15,21 +16,30 @@ import (
 )
 
 // slowThenFastServers returns two endpoints over one shared service: the
-// first delays every response, the second answers immediately.
-func slowThenFastServers(t *testing.T, delay time.Duration) (slow, fast string, slowHits, fastHits *atomic.Int64) {
+// first delays every response, the second answers immediately. slowCanceled
+// counts slow-handler calls that ended because the client went away.
+func slowThenFastServers(t *testing.T, delay time.Duration) (slow, fast string, slowHits, fastHits, slowCanceled *atomic.Int64) {
 	t.Helper()
 	svc := service.New(service.Config{Workers: 2})
 	t.Cleanup(svc.Close)
 	mux := httpapi.New(httpapi.ServiceEngine(svc), httpapi.Options{}).Mux()
 
-	slowHits, fastHits = new(atomic.Int64), new(atomic.Int64)
+	slowHits, fastHits, slowCanceled = new(atomic.Int64), new(atomic.Int64), new(atomic.Int64)
 	slowTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		slowHits.Add(1)
+		// net/http watches the connection for a client disconnect (and
+		// cancels r.Context()) only once the request body is consumed.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
 		select {
 		case <-time.After(delay):
 		case <-r.Context().Done():
+			slowCanceled.Add(1)
 			return
 		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		mux.ServeHTTP(w, r)
 	}))
 	t.Cleanup(slowTS.Close)
@@ -38,14 +48,15 @@ func slowThenFastServers(t *testing.T, delay time.Duration) (slow, fast string, 
 		mux.ServeHTTP(w, r)
 	}))
 	t.Cleanup(fastTS.Close)
-	return slowTS.URL, fastTS.URL, slowHits, fastHits
+	return slowTS.URL, fastTS.URL, slowHits, fastHits, slowCanceled
 }
 
 // TestRemoteHedgesPastSlowNode: with a short hedge delay, a slow first
-// endpoint is raced by the second and the fast answer wins long before the
-// slow node responds.
+// endpoint is raced by the second, the fast answer wins long before the
+// slow node responds, and the losing attempt is cancelled on the server.
 func TestRemoteHedgesPastSlowNode(t *testing.T) {
-	slow, fast, slowHits, fastHits := slowThenFastServers(t, 20*time.Second)
+	const delay = 20 * time.Second
+	slow, fast, slowHits, fastHits, slowCanceled := slowThenFastServers(t, delay)
 	r, err := Remote(RemoteConfig{
 		Endpoints:  []string{slow, fast},
 		HedgeDelay: 50 * time.Millisecond,
@@ -73,7 +84,15 @@ func TestRemoteHedgesPastSlowNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if slowHits.Load() == 0 || fastHits.Load() == 0 {
-		t.Errorf("hedging never contacted both endpoints: slow=%d fast=%d", slowHits.Load(), fastHits.Load())
+		t.Fatalf("hedging never contacted both endpoints: slow=%d fast=%d", slowHits.Load(), fastHits.Load())
+	}
+	// Every slow attempt lost its race, so each must have returned through
+	// its request context rather than by sitting out the delay.
+	for slowCanceled.Load() < slowHits.Load() {
+		if time.Since(start) > delay/4 {
+			t.Fatalf("slow handler: %d of %d hedged-away attempts cancelled", slowCanceled.Load(), slowHits.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

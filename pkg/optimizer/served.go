@@ -29,8 +29,9 @@ type ServedConfig struct {
 	K int
 	// GPUDevices is the simulated GPU device count (0: 2).
 	GPUDevices int
-	// ExactLimit, when non-zero, overrides the CPU-parallel crossover
-	// (mainly for tests that need to force long exact runs).
+	// ExactLimit, when non-zero, overrides the crossover's
+	// CPUParallelLimit (mainly for tests that need to force long exact
+	// runs).
 	ExactLimit int
 }
 
@@ -45,6 +46,10 @@ type served struct {
 // batcher. Algorithm choice is the router's; WithAlgorithm is rejected
 // with ErrServerRouted. Close shuts the worker pool down.
 func Served(cfg ServedConfig) Optimizer {
+	var xover *core.Crossover
+	if cfg.ExactLimit != 0 {
+		xover = &core.Crossover{CPUParallelLimit: cfg.ExactLimit}
+	}
 	return &served{svc: service.New(service.Config{
 		Workers:       cfg.Workers,
 		CacheCapacity: cfg.CacheCapacity,
@@ -52,7 +57,7 @@ func Served(cfg ServedConfig) Optimizer {
 		Timeout:       cfg.Timeout,
 		Threads:       cfg.Threads,
 		K:             cfg.K,
-		ExactLimit:    cfg.ExactLimit,
+		Crossover:     xover,
 		GPU:           backend.GPUConfig{Devices: cfg.GPUDevices},
 	})}
 }
